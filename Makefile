@@ -110,6 +110,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzHeapVsSortOracle$$' -fuzztime $(FUZZTIME) ./internal/minheap
 	go test -run '^$$' -fuzz '^FuzzEngineEventOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzTopologyGenerators$$' -fuzztime $(FUZZTIME) ./internal/topology
+	go test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzRewire$$' -fuzztime $(FUZZTIME) ./internal/search
 
 vet:
@@ -125,7 +126,7 @@ vet:
 # event path cannot silently regress.
 BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/flowsim ./internal/netsim .
-BENCH_OUT := BENCH_pr7.json
+BENCH_OUT := bench.json
 BENCH_COUNT := 3
 bench:
 	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count $(BENCH_COUNT) -benchmem -timeout 0 \
@@ -177,7 +178,7 @@ cluster-smoke:
 # into $(LOADGEN_OUT) for comparison. Fixed ports, so this is a manual
 # target, not part of `make test`.
 LOADGEN_DIR := .bench-cluster
-LOADGEN_OUT := BENCH_pr8.json
+LOADGEN_OUT := bench-cluster.json
 LOADGEN_RPS := 300
 LOADGEN_DUR := 15s
 LOADGEN_PORTS := 19381 19382 19383

@@ -16,6 +16,7 @@ package main
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -30,6 +31,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "pktsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	kind := flag.String("topo", "xpander", "fattree | fattree77 | xpander | jellyfish")
 	k := flag.Int("k", 8, "fat-tree k")
 	degree := flag.Int("degree", 5, "xpander/jellyfish network degree")
@@ -59,19 +67,13 @@ func main() {
 
 	graph.SetParallelism(*workers)
 	rng := rand.New(rand.NewSource(*seed))
-	var t *topology.Topology
-	switch *kind {
-	case "fattree":
-		t = &topology.NewFatTree(*k).Topology
-	case "fattree77":
-		t = &topology.NewFatTreeAtCost(*k, 0.77).Topology
-	case "xpander":
-		t = &topology.NewXpander(*degree, *lift, *servers, rng).Topology
-	case "jellyfish":
-		t = topology.NewJellyfish(*n, *degree, *servers, rng)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *kind)
-		os.Exit(1)
+	spec := topology.Spec{Kind: *kind, K: *k, N: *n, Degree: *degree, Lift: *lift, Servers: *servers}
+	if *kind == "fattree77" {
+		spec.Kind, spec.Cost = "fattree", 0.77
+	}
+	t, err := spec.Build(rng)
+	if err != nil {
+		return err
 	}
 
 	var routing netsim.RoutingScheme
@@ -89,16 +91,15 @@ func main() {
 	case "mptcp":
 		routing = netsim.MPTCP
 	default:
-		fmt.Fprintf(os.Stderr, "unknown routing %q\n", *routingFlag)
-		os.Exit(1)
+		return fmt.Errorf("unknown routing %q", *routingFlag)
 	}
 
 	var pairs workload.PairDist
 	switch *pairsFlag {
 	case "a2a":
-		pairs = workload.NewA2A(t, workload.ActiveRacks(t, *frac, *kind == "fattree", rng))
+		pairs = workload.NewA2A(t, workload.ActiveRacks(t, *frac, spec.ConsecutiveRacks(), rng))
 	case "permute":
-		racks := workload.ActiveRacks(t, *frac, *kind == "fattree", rng)
+		racks := workload.ActiveRacks(t, *frac, spec.ConsecutiveRacks(), rng)
 		if len(racks)%2 == 1 {
 			racks = racks[:len(racks)-1]
 		}
@@ -114,10 +115,9 @@ func main() {
 		if t.Servers[b] == 0 {
 			b = tors[1]
 		}
-		pairs = workload.NewTwoRacks(t, a, b, minInt(t.Servers[a], t.Servers[b]))
+		pairs = workload.NewTwoRacks(t, a, b, min(t.Servers[a], t.Servers[b]))
 	default:
-		fmt.Fprintf(os.Stderr, "unknown pairs %q\n", *pairsFlag)
-		os.Exit(1)
+		return fmt.Errorf("unknown pairs %q", *pairsFlag)
 	}
 
 	var sizes workload.FlowSizeDist
@@ -127,8 +127,7 @@ func main() {
 	case "pareto":
 		sizes = workload.NewParetoHULL()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown sizes %q\n", *sizesFlag)
-		os.Exit(1)
+		return fmt.Errorf("unknown sizes %q", *sizesFlag)
 	}
 
 	cfg := netsim.DefaultConfig()
@@ -142,8 +141,7 @@ func main() {
 	if *stream || *checkpoint != "" || *resume != "" {
 		cfg.DiscardCompleted = true
 		if *flowLog != "" {
-			fmt.Fprintln(os.Stderr, "-flowlog needs retained flow records; drop -stream/-checkpoint/-resume")
-			os.Exit(1)
+			return errors.New("-flowlog needs retained flow records; drop -stream/-checkpoint/-resume")
 		}
 	}
 	net := netsim.NewNetwork(t, cfg)
@@ -157,45 +155,38 @@ func main() {
 	case *resume != "":
 		data, err := os.ReadFile(*resume)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("resume: %w", err)
 		}
 		var cp netsim.Checkpoint
 		if err := json.Unmarshal(data, &cp); err != nil {
-			fmt.Fprintf(os.Stderr, "resume: parse %s: %v\n", *resume, err)
-			os.Exit(1)
+			return fmt.Errorf("resume: parse %s: %w", *resume, err)
 		}
 		r, err := workload.ResumeRunner(exp, net, &cp)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("resume: %w", err)
 		}
 		r.RunToCompletion()
 		res = r.Result()
 	case *haltAtMs > 0:
 		if *checkpoint == "" {
-			fmt.Fprintln(os.Stderr, "-halt-at needs -checkpoint FILE")
-			os.Exit(1)
+			return errors.New("-halt-at needs -checkpoint FILE")
 		}
 		r := workload.NewRunner(exp, net)
 		r.Step(sim.Time(*haltAtMs) * sim.Millisecond)
 		cp, err := r.Checkpoint()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 		data, err := json.Marshal(cp)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 		if err := os.WriteFile(*checkpoint, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 		fmt.Printf("checkpoint: %s at %d ms simulated (%d bytes)\n",
 			*checkpoint, *haltAtMs, len(data))
-		return
+		return nil
 	default:
 		res = exp.Run(net)
 	}
@@ -218,11 +209,11 @@ func main() {
 
 	if *flowLog != "" {
 		if err := writeFlowLog(*flowLog, net); err != nil {
-			fmt.Fprintf(os.Stderr, "flowlog: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("flowlog: %w", err)
 		}
 		fmt.Printf("flow log:           %s (%d rows)\n", *flowLog, len(net.Flows()))
 	}
+	return nil
 }
 
 // writeFlowLog dumps one CSV row per flow: id, src, dst, bytes, start_ns,
@@ -260,11 +251,4 @@ func writeFlowLog(path string, net *netsim.Network) error {
 	}
 	w.Flush()
 	return w.Error()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -31,7 +32,6 @@ import (
 	"beyondft/internal/graph"
 	"beyondft/internal/harness"
 	"beyondft/internal/search"
-	"beyondft/internal/topology"
 )
 
 func main() {
@@ -66,20 +66,12 @@ func run() error {
 		"parallel candidate workers, 0 = GOMAXPROCS (default $"+graph.WorkersEnv+")")
 	flag.Parse()
 
-	rng := rand.New(rand.NewSource(*topoSeed))
-	var base *topology.Topology
-	var params search.Params
-	switch *kind {
-	case "jellyfish":
-		base = topology.NewJellyfish(*n, *degree, *servers, rng)
-		params = search.Params{Kind: "jellyfish", N: *n, Degree: *degree, Servers: *servers}
-	case "xpander":
-		x := topology.NewXpander(*degree, *lift, *servers, rng)
-		base = &x.Topology
-		params = search.Params{Kind: "xpander", N: base.NumSwitches(), Degree: *degree, Lift: *lift, Servers: *servers}
-	default:
-		return fmt.Errorf("unknown starting topology %q (want jellyfish|xpander)", *kind)
+	params := search.Params{Kind: *kind, N: *n, Degree: *degree, Lift: *lift, Servers: *servers}
+	base, err := params.Build(rand.New(rand.NewSource(*topoSeed)))
+	if err != nil {
+		return err
 	}
+	params.N = base.NumSwitches()
 	if *moves == "rewire" {
 		params = search.Params{}
 	} else if *moves != "all" {
@@ -119,7 +111,7 @@ func run() error {
 	fmt.Printf("search:   %s from %s (%d switches, %d servers, $%.0f)\n",
 		*strategy, res.BaselineName, base.NumSwitches(), env.Servers, env.MaxDollars)
 	fmt.Printf("budget:   %d candidates, batch %d, proxy top %d, eps %.3g -> %.3g, seed %d\n",
-		*budget, *batch, *proxyTop, orDefault(*coarse, 0.25), orDefault(*fine, 0.08), *seed)
+		*budget, *batch, *proxyTop, cmp.Or(*coarse, 0.25), cmp.Or(*fine, 0.08), *seed)
 	fmt.Print(res.Trace())
 	fmt.Printf("summary: baseline=%.6f best=%.6f improved=%t step=%d spent=%d design=%.12s\n",
 		res.Baseline, res.BestVal, res.BestVal > res.Baseline, res.BestStep, res.Spent, res.BestHash)
@@ -139,11 +131,4 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "search: spent=%d fine_solves=%d cache_hits=%d steps=%d\n",
 		res.Spent, res.FineSolves, res.CacheHits, len(res.Steps))
 	return nil
-}
-
-func orDefault(v, d float64) float64 {
-	if v == 0 {
-		return d
-	}
-	return v
 }

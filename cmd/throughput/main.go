@@ -16,12 +16,18 @@ import (
 
 	"beyondft/internal/fluid"
 	"beyondft/internal/graph"
-	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 	"beyondft/internal/workload"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	kind := flag.String("topo", "jellyfish", "fattree | jellyfish | xpander | slimfly | longhop | design")
 	k := flag.Int("k", 8, "fat-tree k")
 	n := flag.Int("n", 54, "jellyfish: switch count")
@@ -45,60 +51,19 @@ func main() {
 	graph.SetParallelism(*workers)
 	if *designDir != "" {
 		if _, err := topology.LoadDesignDir(*designDir); err != nil {
-			fmt.Fprintf(os.Stderr, "loading designs from %s: %v\n", *designDir, err)
-			os.Exit(1)
+			return fmt.Errorf("loading designs from %s: %w", *designDir, err)
 		}
 	}
 	rng := rand.New(rand.NewSource(*seed))
-	var t *topology.Topology
-	switch *kind {
-	case "design":
-		d, ok := topology.LookupDesign(*designName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "design %q not registered (known: %v; load a directory with -designs)\n",
-				*designName, topology.DesignNames())
-			os.Exit(1)
-		}
-		var err error
-		if t, err = d.Build(); err != nil {
-			fmt.Fprintf(os.Stderr, "building design %q: %v\n", *designName, err)
-			os.Exit(1)
-		}
-	case "fattree":
-		t = &topology.NewFatTree(*k).Topology
-	case "jellyfish":
-		t = topology.NewJellyfish(*n, *degree, *servers, rng)
-	case "xpander":
-		t = &topology.NewXpander(*degree, *lift, *servers, rng).Topology
-	case "slimfly":
-		t = &topology.NewSlimFly(*q, *servers).Topology
-	case "longhop":
-		t = &topology.NewLonghop(*dim, *degree, *servers).Topology
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *kind)
-		os.Exit(1)
+	spec := topology.Spec{Kind: *kind, K: *k, N: *n, Degree: *degree, Lift: *lift,
+		Servers: *servers, Q: *q, Dim: *dim, Name: *designName}
+	t, err := spec.Build(rng)
+	if err != nil {
+		return err
 	}
-
-	racks := workload.ActiveRacks(t, *x, *kind == "fattree", rng)
-	serversOf := func(r int) int { return t.Servers[r] }
-	var m *tm.TM
-	switch *tmKind {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tm %q\n", *tmKind)
-		os.Exit(1)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		fmt.Fprintf(os.Stderr, "TM violates hose model: %v\n", err)
-		os.Exit(1)
+	m, racks, err := workload.FluidTM(t, *tmKind, *x, spec.ConsecutiveRacks(), rng)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("topology: %s (%d switches, %d servers)\n", t.Name, t.NumSwitches(), t.TotalServers())
@@ -107,8 +72,7 @@ func main() {
 	if *exact {
 		v, err := fluid.ThroughputExact(t.G, m)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "exact LP failed: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("exact LP failed: %w", err)
 		}
 		fmt.Printf("throughput/server (exact LP): %.4f\n", v)
 	} else {
@@ -132,4 +96,5 @@ func main() {
 		fmt.Printf("restricted dynamic bound:          %.4f\n",
 			fluid.RestrictedDynamic(len(racks), int(rDyn), s))
 	}
+	return nil
 }

@@ -41,46 +41,18 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	var t *topology.Topology
-	switch *kind {
-	case "fattree":
-		var ft *topology.FatTree
-		if *costFrac < 1.0 {
-			ft = topology.NewFatTreeAtCost(*k, *costFrac)
-		} else {
-			ft = topology.NewFatTree(*k)
-		}
-		t = &ft.Topology
-		fmt.Printf("fat-tree k=%d, core oversubscription %.2f\n", ft.K, ft.OversubscriptionRatio())
-	case "jellyfish":
-		t = topology.NewJellyfish(*n, *degree, *servers, rng)
-	case "xpander":
-		x := topology.NewXpander(*degree, *lift, *servers, rng)
-		t = &x.Topology
-		fmt.Printf("xpander: %d meta-nodes x %d switches, %d cable bundles of %d cables\n",
-			x.D+1, x.Lift, (x.D+1)*x.D/2, x.Lift)
-	case "slimfly":
-		sf := topology.NewSlimFly(*q, *servers)
-		t = &sf.Topology
-	case "longhop":
-		lh := topology.NewLonghop(*dim, *degree, *servers)
-		t = &lh.Topology
-		fmt.Printf("longhop generators: %d (incl. %d unit vectors)\n", len(lh.Generators), lh.Dim)
-	case "dragonfly":
-		df := topology.NewDragonFly(*dfA, *dfH, *servers)
-		t = &df.Topology
-		fmt.Printf("dragonfly: %d groups of %d routers\n", df.Groups(), df.A)
-	case "lps":
-		l := topology.NewLPS(*lpsP, *lpsQ, *servers)
-		t = &l.Topology
-		group := "PSL"
-		if l.OverPGL {
-			group = "PGL"
-		}
-		fmt.Printf("lps: Ramanujan graph X^{%d,%d} over %s(2,%d)\n", l.P, l.Q, group, l.Q)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *kind)
+	spec := topology.Spec{Kind: *kind, K: *k, Cost: *costFrac, N: *n, Degree: *degree, Lift: *lift,
+		Servers: *servers, Q: *q, Dim: *dim, A: *dfA, H: *dfH, P: *lpsP}
+	if *kind == "lps" {
+		spec.Q = *lpsQ
+	}
+	t, note, err := spec.BuildNoted(rng)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
 		os.Exit(1)
+	}
+	if note != "" {
+		fmt.Println(note)
 	}
 	if err := t.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "invalid topology: %v\n", err)

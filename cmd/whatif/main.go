@@ -27,7 +27,6 @@ import (
 	"beyondft/internal/fluid"
 	"beyondft/internal/graph"
 	"beyondft/internal/harness"
-	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 	"beyondft/internal/whatif"
 	"beyondft/internal/workload"
@@ -71,40 +70,15 @@ func run() error {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	var t *topology.Topology
-	switch *kind {
-	case "fattree":
-		t = &topology.NewFatTree(*k).Topology
-	case "jellyfish":
-		t = topology.NewJellyfish(*n, *degree, *servers, rng)
-	case "xpander":
-		t = &topology.NewXpander(*degree, *lift, *servers, rng).Topology
-	case "slimfly":
-		t = &topology.NewSlimFly(*q, *servers).Topology
-	case "longhop":
-		t = &topology.NewLonghop(*dim, *degree, *servers).Topology
-	default:
-		return fmt.Errorf("unknown topology %q", *kind)
+	spec := topology.Spec{Kind: *kind, K: *k, N: *n, Degree: *degree, Lift: *lift,
+		Servers: *servers, Q: *q, Dim: *dim}
+	t, err := spec.Build(rng)
+	if err != nil {
+		return err
 	}
-
-	racks := workload.ActiveRacks(t, *x, *kind == "fattree", rng)
-	serversOf := func(r int) int { return t.Servers[r] }
-	var m *tm.TM
-	switch *tmKind {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	default:
-		return fmt.Errorf("unknown tm %q", *tmKind)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		return fmt.Errorf("TM violates hose model: %w", err)
+	m, racks, err := workload.FluidTM(t, *tmKind, *x, spec.ConsecutiveRacks(), rng)
+	if err != nil {
+		return err
 	}
 
 	fam := whatif.FamilySpec{

@@ -6,7 +6,6 @@ import (
 
 	"beyondft/internal/harness"
 	"beyondft/internal/search"
-	"beyondft/internal/topology"
 )
 
 // searchSpecVersion versions the design-search jobs for the result cache —
@@ -20,14 +19,15 @@ const searchSpecVersion = "search-jobs-v1"
 var searchRuns = []struct {
 	name   string
 	kind   string
-	n      int // jellyfish switches
+	n      int // switches
 	degree int
 	lift   int // xpander
 	srv    int
 	seed   int64
+	salt   int64 // Config.rng salt of the starting instance's build
 }{
-	{"search-jellyfish", "jellyfish", 16, 4, 0, 3, 7},
-	{"search-xpander", "xpander", 15, 4, 3, 3, 7},
+	{"search-jellyfish", "jellyfish", 16, 4, 0, 3, 7, 37},
+	{"search-xpander", "xpander", 15, 4, 3, 3, 7, 38},
 }
 
 // searchBudget scales the candidate budget with the configuration: the
@@ -45,19 +45,10 @@ func (c Config) searchBudget() int {
 // every step, against the baseline's flat line. Only trace content enters
 // the figure — cache and worker accounting are excluded, so resumed runs
 // are byte-identical to cold ones.
-func (c Config) searchFigure(ctx context.Context, name, kind string, n, degree, lift, srv int, seed int64, cache *harness.Cache) ([]*Figure, error) {
-	var base *topology.Topology
-	var params search.Params
-	switch kind {
-	case "jellyfish":
-		base = topology.NewJellyfish(n, degree, srv, c.rng(37))
-		params = search.Params{Kind: kind, N: n, Degree: degree, Servers: srv}
-	case "xpander":
-		x := topology.NewXpander(degree, lift, srv, c.rng(38))
-		base = &x.Topology
-		params = search.Params{Kind: kind, N: base.NumSwitches(), Degree: degree, Lift: lift, Servers: srv}
-	default:
-		return nil, fmt.Errorf("experiments: unknown search kind %q", kind)
+func (c Config) searchFigure(ctx context.Context, name string, params search.Params, seed, salt int64, cache *harness.Cache) ([]*Figure, error) {
+	base, err := params.Build(c.rng(salt))
+	if err != nil {
+		return nil, err
 	}
 
 	var cc *search.CandidateCache
@@ -116,7 +107,8 @@ func (c Config) SearchJobs(cache *harness.Cache) []harness.Job {
 			Spec: fmt.Sprintf("%s|%s|kind=%s,n=%d,degree=%d,lift=%d,srv=%d,seed=%d|budget=%d",
 				searchSpecVersion, c.Spec(), sr.kind, sr.n, sr.degree, sr.lift, sr.srv, sr.seed, c.searchBudget()),
 			Run: func(ctx context.Context) (any, error) {
-				figs, err := c.searchFigure(ctx, sr.name, sr.kind, sr.n, sr.degree, sr.lift, sr.srv, sr.seed, cache)
+				params := search.Params{Kind: sr.kind, N: sr.n, Degree: sr.degree, Lift: sr.lift, Servers: sr.srv}
+				figs, err := c.searchFigure(ctx, sr.name, params, sr.seed, sr.salt, cache)
 				if err != nil {
 					return nil, err
 				}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"beyondft/internal/cost"
-	"beyondft/internal/topology"
 )
 
 // maxResizeFactor bounds how far a resize move may scale the switch count in
@@ -107,25 +106,4 @@ func preAdmitsParams(p Params, env Envelope) bool {
 	}
 	ports := p.N*p.Degree + total
 	return cost.StaticPortDollars()*float64(ports) <= env.MaxDollars+1e-6
-}
-
-// buildParams constructs a fresh generator instance at the given coordinates
-// with a deterministic seed. Returns nil if the coordinates are invalid
-// (constructor panics are contained here so a bad proposal costs one
-// attempt, not the search).
-func buildParams(p Params, seed int64) (t *topology.Topology) {
-	defer func() {
-		if recover() != nil {
-			t = nil
-		}
-	}()
-	rng := rand.New(rand.NewSource(seed))
-	switch p.Kind {
-	case "jellyfish":
-		return topology.NewJellyfish(p.N, p.Degree, p.Servers, rng)
-	case "xpander":
-		return &topology.NewXpander(p.Degree, p.Lift, p.Servers, rng).Topology
-	default:
-		return nil
-	}
 }

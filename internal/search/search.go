@@ -65,16 +65,11 @@ const proposalOverdraw = 8
 // annealDecay is the per-step exponential temperature decay.
 const annealDecay = 0.97
 
-// Params are generator coordinates for parameter moves. Kind "" disables
-// parameter moves (rewiring only), e.g. when the starting point is not a
-// generator instance.
-type Params struct {
-	Kind    string // "jellyfish" | "xpander" | ""
-	N       int    // jellyfish switch count ((Degree+1)*Lift for xpander)
-	Degree  int    // network degree
-	Lift    int    // xpander lift order
-	Servers int    // servers per switch
-}
+// Params are generator coordinates for parameter moves: Kind "jellyfish"
+// or "xpander" with N (the switch count, (Degree+1)*Lift for xpander),
+// Degree, Lift and Servers. Kind "" disables parameter moves (rewiring
+// only), e.g. when the starting point is not a generator instance.
+type Params = topology.Spec
 
 // Envelope is the equal-cost feasibility region: candidates must host
 // exactly the same servers and spend at most the same port dollars (Table 1
@@ -631,8 +626,8 @@ func proposeBatch(cur *topology.Topology, p Params, env Envelope, rng *rand.Rand
 			if !preAdmitsParams(np, env) {
 				continue
 			}
-			t := buildParams(np, m.Seed)
-			if t == nil {
+			t, err := np.Build(rand.New(rand.NewSource(m.Seed)))
+			if err != nil {
 				continue
 			}
 			cand = &candidate{topo: t, params: np, move: m}

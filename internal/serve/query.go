@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"beyondft/internal/fluid"
 	"beyondft/internal/graph"
 	"beyondft/internal/obs"
-	"beyondft/internal/tm"
 	"beyondft/internal/topology"
 	"beyondft/internal/workload"
 )
@@ -20,173 +20,46 @@ import (
 // numeric output, so stale cached query results are invalidated.
 const CodeSalt = "serve-v1+" + "gk-warm-whatif"
 
-// maxSwitches bounds ad-hoc topology sizes. The service computes what-if
+// limits bounds ad-hoc topology sizes. The service computes what-if
 // queries interactively; a request for a million-switch Jellyfish belongs
 // in the batch harness, and admission control cannot help once a single
 // compute is allowed to be arbitrarily large.
-const maxSwitches = 8192
+var limits = topology.Limits{MaxSwitches: 8192, MaxServers: 256, MaxFatTreeK: 64, MinXpanderLift: 2}
 
-// TopoSpec describes a topology to build, mirroring cmd/throughput's
-// flags. Fields irrelevant to the chosen kind are zeroed during
-// normalization so specs that differ only in ignored fields share one
-// cache entry.
-type TopoSpec struct {
-	Kind    string `json:"kind"`              // fattree | jellyfish | xpander | slimfly | longhop | design
-	K       int    `json:"k,omitempty"`       // fattree
-	N       int    `json:"n,omitempty"`       // jellyfish: switch count
-	Degree  int    `json:"degree,omitempty"`  // jellyfish / xpander / longhop
-	Lift    int    `json:"lift,omitempty"`    // xpander
-	Servers int    `json:"servers,omitempty"` // servers per switch (flat topologies)
-	Q       int    `json:"q,omitempty"`       // slimfly
-	Dim     int    `json:"dim,omitempty"`     // longhop
-	Seed    int64  `json:"seed,omitempty"`    // randomized constructions
+// TopoSpec describes a topology to build. Its JSON encoding is part of
+// every query's cache key (see topology.Spec).
+type TopoSpec = topology.Spec
 
-	// Name selects a registered design (kind "design") — e.g. a
-	// search-found topology loaded at daemon startup via -designs.
-	Name string `json:"name,omitempty"`
-	// DesignHash is the design's content address, filled from the registry
-	// during normalization so cache entries key on content: re-registering
-	// different bytes under the same name cannot alias a stale result.
-	DesignHash string `json:"design_hash,omitempty"`
+// normalizeTopo puts a request's topology in canonical form and applies
+// the daemon's size policy on top of the spec's structural validity.
+func normalizeTopo(s *TopoSpec) error {
+	if err := s.Normalize(); err != nil {
+		return err
+	}
+	return s.Within(limits)
 }
 
-// normalize fills defaults (cmd/throughput's) and zeroes fields the kind
-// ignores, then validates. The normalized spec is what gets hashed into
-// the cache key, so two requests meaning the same topology hit one entry.
-func (s *TopoSpec) normalize() error {
-	def := func(p *int, d int) {
-		if *p == 0 {
-			*p = d
-		}
+// normalizeWorkload fills the defaults of, and checks, the fields the
+// throughput and whatif queries share: topology, TM family, active-rack
+// fraction and workload seed.
+func normalizeWorkload(topo *TopoSpec, tmName *string, x *float64, seed *int64) error {
+	if err := normalizeTopo(topo); err != nil {
+		return err
 	}
-	if s.Kind != "design" {
-		s.Name, s.DesignHash = "", ""
+	*tmName = cmp.Or(*tmName, "longest-matching")
+	if err := workload.CheckFluidTM(*tmName); err != nil {
+		return err
 	}
-	switch s.Kind {
-	case "design":
-		s.K, s.N, s.Degree, s.Lift, s.Servers, s.Q, s.Dim, s.Seed = 0, 0, 0, 0, 0, 0, 0, 0
-		if s.Name == "" {
-			return fmt.Errorf("design: name required")
-		}
-		d, ok := topology.LookupDesign(s.Name)
-		if !ok {
-			return fmt.Errorf("design %q not registered (daemon flag -designs loads a directory)", s.Name)
-		}
-		if len(d.Servers) > maxSwitches {
-			return fmt.Errorf("design %q has %d switches > limit %d", s.Name, len(d.Servers), maxSwitches)
-		}
-		s.DesignHash = d.Hash()
-		return nil
-	case "fattree":
-		def(&s.K, 8)
-		s.N, s.Degree, s.Lift, s.Servers, s.Q, s.Dim, s.Seed = 0, 0, 0, 0, 0, 0, 0
-		if s.K < 2 || s.K%2 != 0 || s.K > 64 {
-			return fmt.Errorf("fattree k=%d: need even k in [2,64]", s.K)
-		}
-	case "jellyfish":
-		def(&s.N, 54)
-		def(&s.Degree, 9)
-		def(&s.Servers, 6)
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.K, s.Lift, s.Q, s.Dim = 0, 0, 0, 0
-		if s.N < 2 || s.N > maxSwitches {
-			return fmt.Errorf("jellyfish n=%d: need [2,%d]", s.N, maxSwitches)
-		}
-		if s.Degree < 2 || s.Degree >= s.N {
-			return fmt.Errorf("jellyfish degree=%d: need [2,n)", s.Degree)
-		}
-		if s.N*s.Degree%2 != 0 {
-			return fmt.Errorf("jellyfish n=%d degree=%d: n·degree must be even", s.N, s.Degree)
-		}
-	case "xpander":
-		def(&s.Degree, 9)
-		def(&s.Lift, 9)
-		def(&s.Servers, 6)
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.K, s.N, s.Q, s.Dim = 0, 0, 0, 0
-		if s.Degree < 2 || s.Lift < 2 || (s.Degree+1)*s.Lift > maxSwitches {
-			return fmt.Errorf("xpander degree=%d lift=%d: need degree,lift >= 2 and (degree+1)*lift <= %d", s.Degree, s.Lift, maxSwitches)
-		}
-	case "slimfly":
-		def(&s.Q, 5)
-		def(&s.Servers, 6)
-		s.K, s.N, s.Degree, s.Lift, s.Dim, s.Seed = 0, 0, 0, 0, 0, 0
-		if s.Q < 2 || 2*s.Q*s.Q > maxSwitches {
-			return fmt.Errorf("slimfly q=%d: need q >= 2 and 2q² <= %d", s.Q, maxSwitches)
-		}
-		if !isPrimeMod4(s.Q) {
-			return fmt.Errorf("slimfly q=%d: need a prime ≡ 1 (mod 4)", s.Q)
-		}
-	case "longhop":
-		def(&s.Dim, 6)
-		def(&s.Degree, 9)
-		def(&s.Servers, 6)
-		s.K, s.N, s.Lift, s.Q, s.Seed = 0, 0, 0, 0, 0
-		if s.Dim < 2 || s.Dim > 13 {
-			return fmt.Errorf("longhop dim=%d: need [2,13]", s.Dim)
-		}
-		if s.Degree < s.Dim || s.Degree >= 1<<s.Dim {
-			return fmt.Errorf("longhop degree=%d: need [dim=%d, 2^dim)", s.Degree, s.Dim)
-		}
-	default:
-		return fmt.Errorf("unknown topology kind %q (want fattree|jellyfish|xpander|slimfly|longhop|design)", s.Kind)
+	if *x = cmp.Or(*x, 1); *x < 0 || *x > 1 {
+		return fmt.Errorf("x=%g: need (0,1]", *x)
 	}
-	if s.Servers < 0 || s.Servers > 256 {
-		return fmt.Errorf("servers=%d: need [0,256]", s.Servers)
-	}
+	*seed = cmp.Or(*seed, 1)
 	return nil
 }
 
-// isPrimeMod4 reports whether q is a prime ≡ 1 (mod 4) — the SlimFly
-// constructor's precondition, checked here so a bad q is a 400, not a
-// recovered panic.
-func isPrimeMod4(q int) bool {
-	if q < 2 || q%4 != 1 {
-		return false
-	}
-	for d := 2; d*d <= q; d++ {
-		if q%d == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// build constructs the topology. Call normalize first.
-func (s *TopoSpec) build() (*topology.Topology, error) {
-	rng := rand.New(rand.NewSource(s.Seed))
-	var t *topology.Topology
-	switch s.Kind {
-	case "design":
-		d, ok := topology.LookupDesign(s.Name)
-		if !ok {
-			return nil, fmt.Errorf("design %q not registered", s.Name)
-		}
-		var err error
-		if t, err = d.Build(); err != nil {
-			return nil, err
-		}
-	case "fattree":
-		t = &topology.NewFatTree(s.K).Topology
-	case "jellyfish":
-		t = topology.NewJellyfish(s.N, s.Degree, s.Servers, rng)
-	case "xpander":
-		t = &topology.NewXpander(s.Degree, s.Lift, s.Servers, rng).Topology
-	case "slimfly":
-		t = &topology.NewSlimFly(s.Q, s.Servers).Topology
-	case "longhop":
-		t = &topology.NewLonghop(s.Dim, s.Degree, s.Servers).Topology
-	default:
-		return nil, fmt.Errorf("unknown topology kind %q", s.Kind)
-	}
-	if t.NumSwitches() > maxSwitches {
-		return nil, fmt.Errorf("topology has %d switches > limit %d", t.NumSwitches(), maxSwitches)
-	}
-	return t, nil
+// buildTopo constructs a normalized spec from its own seed.
+func buildTopo(s *TopoSpec) (*topology.Topology, error) {
+	return s.Build(rand.New(rand.NewSource(s.Seed)))
 }
 
 // ThroughputRequest is the body of POST /v1/throughput: evaluate a
@@ -211,31 +84,12 @@ type ThroughputRequest struct {
 }
 
 func (r *ThroughputRequest) normalize() error {
-	if err := r.Topo.normalize(); err != nil {
+	if err := normalizeWorkload(&r.Topo, &r.TM, &r.X, &r.Seed); err != nil {
 		return err
 	}
-	if r.TM == "" {
-		r.TM = "longest-matching"
-	}
-	switch r.TM {
-	case "longest-matching", "permutation", "all-to-all":
-	default:
-		return fmt.Errorf("unknown tm %q (want longest-matching|permutation|all-to-all)", r.TM)
-	}
-	if r.X == 0 {
-		r.X = 1
-	}
-	if r.X < 0 || r.X > 1 {
-		return fmt.Errorf("x=%g: need (0,1]", r.X)
-	}
-	if r.Epsilon == 0 {
-		r.Epsilon = 0.08
-	}
+	r.Epsilon = cmp.Or(r.Epsilon, 0.08)
 	if r.Epsilon < 0.005 || r.Epsilon > 0.5 {
 		return fmt.Errorf("epsilon=%g: need [0.005,0.5]", r.Epsilon)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
 	}
 	return nil
 }
@@ -271,28 +125,14 @@ type ThroughputResult struct {
 func (r *ThroughputRequest) run(ctx context.Context) (json.RawMessage, error) {
 	sp := obs.SpanFromContext(ctx)
 	buildSp := sp.Child("build-topology")
-	t, err := r.Topo.build()
+	t, err := buildTopo(&r.Topo)
 	buildSp.End()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	racks := workload.ActiveRacks(t, r.X, r.Topo.Kind == "fattree", rng)
-	serversOf := func(rack int) int { return t.Servers[rack] }
-	var m *tm.TM
-	switch r.TM {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		return nil, fmt.Errorf("traffic matrix violates hose model: %w", err)
+	m, racks, err := workload.FluidTM(t, r.TM, r.X, r.Topo.ConsecutiveRacks(), rand.New(rand.NewSource(r.Seed)))
+	if err != nil {
+		return nil, err
 	}
 	nw := fluid.NewNetwork(t.G, 1.0)
 	gkSp := sp.Child("gk-solve")
@@ -335,7 +175,7 @@ type PathStatsRequest struct {
 	Topo TopoSpec `json:"topo"`
 }
 
-func (r *PathStatsRequest) normalize() error { return r.Topo.normalize() }
+func (r *PathStatsRequest) normalize() error { return normalizeTopo(&r.Topo) }
 
 func (r *PathStatsRequest) spec() string {
 	data, err := json.Marshal(r)
@@ -357,7 +197,7 @@ type PathStatsResult struct {
 }
 
 func (r *PathStatsRequest) run(ctx context.Context) (json.RawMessage, error) {
-	t, err := r.Topo.build()
+	t, err := buildTopo(&r.Topo)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"beyondft/internal/fluid"
 	"beyondft/internal/harness"
 	"beyondft/internal/obs"
-	"beyondft/internal/tm"
 	"beyondft/internal/whatif"
 	"beyondft/internal/workload"
 )
@@ -51,25 +50,8 @@ type WhatifRequest struct {
 }
 
 func (r *WhatifRequest) normalize() error {
-	if err := r.Topo.normalize(); err != nil {
+	if err := normalizeWorkload(&r.Topo, &r.TM, &r.X, &r.Seed); err != nil {
 		return err
-	}
-	if r.TM == "" {
-		r.TM = "longest-matching"
-	}
-	switch r.TM {
-	case "longest-matching", "permutation", "all-to-all":
-	default:
-		return fmt.Errorf("unknown tm %q (want longest-matching|permutation|all-to-all)", r.TM)
-	}
-	if r.X == 0 {
-		r.X = 1
-	}
-	if r.X < 0 || r.X > 1 {
-		return fmt.Errorf("x=%g: need (0,1]", r.X)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
 	}
 	if err := r.Family.Normalize(); err != nil {
 		return err
@@ -122,28 +104,14 @@ type WhatifResult struct {
 func (r *WhatifRequest) run(ctx context.Context) (json.RawMessage, error) {
 	sp := obs.SpanFromContext(ctx)
 	buildSp := sp.Child("build-topology")
-	t, err := r.Topo.build()
+	t, err := buildTopo(&r.Topo)
 	buildSp.End()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	racks := workload.ActiveRacks(t, r.X, r.Topo.Kind == "fattree", rng)
-	serversOf := func(rack int) int { return t.Servers[rack] }
-	var m *tm.TM
-	switch r.TM {
-	case "longest-matching":
-		m = tm.LongestMatching(t.G, racks, serversOf)
-	case "permutation":
-		if len(racks)%2 == 1 {
-			racks = racks[:len(racks)-1]
-		}
-		m = tm.RandomPermutation(racks, serversOf, rng)
-	case "all-to-all":
-		m = tm.AllToAll(racks, serversOf)
-	}
-	if err := m.ValidateHose(serversOf); err != nil {
-		return nil, fmt.Errorf("traffic matrix violates hose model: %w", err)
+	m, racks, err := workload.FluidTM(t, r.TM, r.X, r.Topo.ConsecutiveRacks(), rand.New(rand.NewSource(r.Seed)))
+	if err != nil {
+		return nil, err
 	}
 	scens, err := whatif.Scenarios(t.G, r.Family)
 	if err != nil {

@@ -133,11 +133,18 @@ func (ft *FatTree) CostFraction() float64 {
 // This mirrors the paper's "77%-fat-tree" comparison point (Fig. 11): an
 // oversubscribed fat-tree built at ~23% lower cost.
 func NewFatTreeAtCost(k int, costFraction float64) *FatTree {
-	best := NewFatTreeOversubscribed(k, 1)
-	for c := 1; c <= k/2; c++ {
-		ft := NewFatTreeOversubscribed(k, c)
-		if ft.CostFraction() <= costFraction {
-			best = ft
+	return NewFatTreeOversubscribed(k, coreAtCost(k, costFraction))
+}
+
+// coreAtCost returns the largest corePerColumn in [1, k/2] whose fat-tree
+// costs at most costFraction of the full one (1 if none does): with c
+// cores per column a k-ary tree uses 3k(k/2)² + 2k(k/2)c ports.
+func coreAtCost(k int, costFraction float64) int {
+	half, best := k/2, 1
+	ports := func(c int) float64 { return float64(3*k*half*half + 2*k*half*c) }
+	for c := 1; c <= half; c++ {
+		if ports(c)/ports(half) <= costFraction {
+			best = c
 		}
 	}
 	return best

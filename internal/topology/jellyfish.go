@@ -13,7 +13,9 @@ import (
 // link random switch pairs that both have free ports and are not yet
 // adjacent; when blocked, break a random existing edge to free ports.
 //
-// n*r must be even. The result is simple (no parallel links) and connected.
+// n*r must be even, and r = 1 only for n = 2 (a larger 1-regular graph is a
+// disconnected matching). The result is simple (no parallel links) and
+// connected.
 func NewJellyfish(n, r, serversPerSwitch int, rng *rand.Rand) *Topology {
 	if n < 2 || r < 1 {
 		panic(fmt.Sprintf("jellyfish: invalid n=%d r=%d", n, r))
@@ -23,6 +25,9 @@ func NewJellyfish(n, r, serversPerSwitch int, rng *rand.Rand) *Topology {
 	}
 	if n*r%2 != 0 {
 		panic(fmt.Sprintf("jellyfish: n*r=%d must be even", n*r))
+	}
+	if r == 1 && n > 2 {
+		panic(fmt.Sprintf("jellyfish: a 1-regular graph on n=%d > 2 switches is never connected", n))
 	}
 	for {
 		g := buildRandomRegular(n, r, rng)
