@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race vet bench bench-all bench-smoke bench-cluster serve-smoke cluster-smoke validate-smoke whatif-smoke sim-scale-smoke search-smoke fuzz-smoke fuzz cover figures figures-full run examples clean
+.PHONY: all build test test-race vet bench-smoke serve-smoke cluster-smoke validate-smoke whatif-smoke sim-scale-smoke search-smoke fuzz-smoke fuzz cover figures figures-full run examples clean
 
 all: build test
 
@@ -29,10 +29,11 @@ test-race:
 
 # Cross-model validation (DESIGN.md §10): exact LP vs Garg–Könemann vs
 # flowsim vs netsim on shared scenarios, plus conservation and replay
-# determinism. The smoke grid is wired into `make test`; the full grid runs
-# through the harness: `go run ./cmd/runner run -only 'validate-*' -full`.
+# determinism. The smoke grid is wired into `make test`; add -full for the
+# full grid. Any failed check fails the run.
 validate-smoke:
-	go run ./cmd/validate -smoke
+	@dir=$$(mktemp -d) && go run ./cmd/runner run -only 'validate-*' -no-cache -out $$dir; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # What-if sweep smoke (DESIGN.md §12): a full single-link sweep of a tiny
 # fabric via cmd/whatif, run at 1 and 8 workers and then resumed from the
@@ -116,25 +117,15 @@ fuzz:
 vet:
 	go vet ./...
 
-# Tracked perf-trajectory benchmarks (see README "Benchmark trajectory"):
-# fixed -benchtime/-count so BENCH_pr<N>.json files are comparable across
-# PRs. Append new kernels to BENCH_PATTERN as they land. The scale-tier
-# benchmarks (BenchmarkFlowsimScale10M, BenchmarkNetsimScale1M) skip unless
-# BEYONDFT_SCALE=1 — `BEYONDFT_SCALE=1 make bench BENCH_COUNT=1` records
-# them; a plain `make bench` records only the fast kernels. benchjson also
-# gates BenchmarkFlowsimSteadyState at zero allocs/op, so the slab-recycled
-# event path cannot silently regress.
+# Kernel, simulator and serving benchmarks; the end-to-end benchmark is
+# perfbench (BENCHMARK.json). The scale-tier benchmarks
+# (BenchmarkFlowsimScale10M, BenchmarkNetsimScale1M) skip unless
+# BEYONDFT_SCALE=1.
 BENCH_PATTERN := BenchmarkAPSP|BenchmarkPathStats|BenchmarkBFS|BenchmarkDijkstra|BenchmarkLongestMatching|BenchmarkMaxConcurrentFlow|BenchmarkGKMaxConcurrentFlow|BenchmarkServeThroughputCached|BenchmarkGKObserverDisabled|BenchmarkWhatifSingleLinkSweep|BenchmarkFlowsimSteadyState|BenchmarkFlowsimScale10M|BenchmarkNetsimScale1M
 BENCH_DIRS := ./internal/graph ./internal/fluid ./internal/tm ./internal/serve ./internal/whatif ./internal/flowsim ./internal/netsim .
-BENCH_OUT := bench.json
-BENCH_COUNT := 3
-bench:
-	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count $(BENCH_COUNT) -benchmem -timeout 0 \
-		$(BENCH_DIRS) \
-		| go run ./cmd/benchjson -max-allocs BenchmarkFlowsimSteadyState=0 -o $(BENCH_OUT)
 
-# One iteration of the tracked benchmarks, wired into `make test` so they
-# cannot bit-rot between perf PRs.
+# One iteration of those benchmarks, wired into `make test` so they cannot
+# bit-rot.
 bench-smoke:
 	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x $(BENCH_DIRS)
 
@@ -173,56 +164,13 @@ serve-smoke:
 cluster-smoke:
 	go test -run '^TestClusterSmoke$$' -count=1 ./internal/cluster
 
-# Latency CDFs for the cluster tier: open-loop Poisson load (cmd/loadgen)
-# against a 1-node and then a 3-node beyondftd deployment, both runs merged
-# into $(LOADGEN_OUT) for comparison. Fixed ports, so this is a manual
-# target, not part of `make test`.
-LOADGEN_DIR := .bench-cluster
-LOADGEN_OUT := bench-cluster.json
-LOADGEN_RPS := 300
-LOADGEN_DUR := 15s
-LOADGEN_PORTS := 19381 19382 19383
-bench-cluster:
-	@rm -rf $(LOADGEN_DIR) && mkdir -p $(LOADGEN_DIR)
-	@go build -o $(LOADGEN_DIR)/beyondftd ./cmd/beyondftd
-	@go build -o $(LOADGEN_DIR)/loadgen ./cmd/loadgen
-	@$(LOADGEN_DIR)/beyondftd -addr 127.0.0.1:19380 -cache $(LOADGEN_DIR)/c0 -out '' \
-		2> $(LOADGEN_DIR)/log0 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do curl -sf -o /dev/null http://127.0.0.1:19380/readyz && break; sleep 0.1; done; \
-	$(LOADGEN_DIR)/loadgen -targets http://127.0.0.1:19380 -rps $(LOADGEN_RPS) \
-		-duration $(LOADGEN_DUR) -name 1node -out $(LOADGEN_OUT) \
-		|| { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid; wait $$pid || { echo "bench-cluster: 1-node daemon exited non-zero"; cat $(LOADGEN_DIR)/log0; exit 1; }
-	@peers=$$(for p in $(LOADGEN_PORTS); do printf ',http://127.0.0.1:%s' $$p; done); peers=$${peers#,}; \
-	pids=""; \
-	for p in $(LOADGEN_PORTS); do \
-		$(LOADGEN_DIR)/beyondftd -addr 127.0.0.1:$$p -cache $(LOADGEN_DIR)/c$$p -out '' \
-			-self http://127.0.0.1:$$p -peers "$$peers" \
-			-replication 2 -gossip-interval 250ms 2> $(LOADGEN_DIR)/log$$p & \
-		pids="$$pids $$!"; \
-	done; \
-	for p in $(LOADGEN_PORTS); do \
-		for i in $$(seq 1 100); do curl -sf -o /dev/null http://127.0.0.1:$$p/readyz && break; sleep 0.1; done; \
-	done; \
-	$(LOADGEN_DIR)/loadgen -targets "$$peers" -rps $(LOADGEN_RPS) \
-		-duration $(LOADGEN_DUR) -name 3node -out $(LOADGEN_OUT) \
-		|| { kill $$pids 2>/dev/null; exit 1; }; \
-	kill -TERM $$pids; \
-	for pid in $$pids; do wait $$pid || { echo "bench-cluster: a 3-node daemon exited non-zero"; exit 1; }; done; \
-	echo "bench-cluster: 1node and 3node CDFs merged into $(LOADGEN_OUT)"; \
-	rm -rf $(LOADGEN_DIR)
-
-# Everything: one benchmark per paper table/figure plus micro/ablation
-# benches. Set BEYONDFT_PRINT=1 to also print the regenerated rows.
-bench-all:
-	go test -timeout 0 -bench=. -benchmem ./...
-
+# The paper's tables and figures (DESIGN.md §4), printed in paper order and
+# written as CSVs under runs/latest.
 figures:
-	go run ./cmd/figures
+	go run ./cmd/runner run -only 'table1,fig*'
 
 figures-full:
-	go run ./cmd/figures -full
+	go run ./cmd/runner run -only 'table1,fig*' -full
 
 # Parallel, cached evaluation of the whole registry (see DESIGN.md §6).
 run:

@@ -1,22 +1,15 @@
-// Package beyondft's root benchmark harness: one benchmark per table and
-// figure of the paper (regenerating its rows at the laptop-scale
-// configuration; see EXPERIMENTS.md for paper-vs-measured), plus ablation
-// benchmarks for the design choices called out in DESIGN.md §5.
+// Package beyondft's root benchmarks: the experiment harness's pool,
+// micro-benchmarks of the substrates and ablation benchmarks for the
+// design choices called out in DESIGN.md §5. The paper's tables and figures
+// are regenerated by `go run ./cmd/runner run -only 'table1,fig*'`.
 //
-// Run everything:
-//
-//	go test -bench=. -benchmem
-//
-// Print the regenerated rows while benchmarking:
-//
-//	BEYONDFT_PRINT=1 go test -bench=Figure -benchtime 1x
+//	go test -run '^$' -bench=. -benchmem
 package beyondft
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 
@@ -31,186 +24,13 @@ import (
 	"beyondft/internal/workload"
 )
 
-var printFigures = os.Getenv("BEYONDFT_PRINT") != ""
-
-func emit(b *testing.B, figs ...*experiments.Figure) {
-	b.Helper()
-	for _, f := range figs {
-		if len(f.Series) == 0 {
-			b.Fatalf("figure %s has no series", f.ID)
-		}
-		for _, s := range f.Series {
-			if len(s.Y) != len(s.X) {
-				b.Fatalf("figure %s series %s: %d x vs %d y", f.ID, s.Label, len(s.X), len(s.Y))
-			}
-		}
-		if printFigures {
-			f.Fprint(os.Stdout)
-		}
-	}
-}
-
-func cfg() experiments.Config { return experiments.DefaultConfig() }
-
-// --- Table and figure regenerators --------------------------------------
-
-func BenchmarkTable1CostModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, experiments.Table1CostModel())
-	}
-}
-
-func BenchmarkObservation1FatTreeInflexibility(b *testing.B) {
-	// Observation 1 / Fig. 1: exact LP shows the oversubscribed fat-tree is
-	// capped at its oversubscription for a 2/k-fraction pod-to-pod TM.
-	for i := 0; i < b.N; i++ {
-		half := topology.NewFatTreeOversubscribed(4, 1)
-		var src, dst []int
-		for e := 0; e < 2; e++ {
-			src = append(src, half.EdgeBase[0]+e)
-			dst = append(dst, half.EdgeBase[1]+e)
-		}
-		m := tm.PodToPod(src, dst, 2)
-		v, err := fluid.ThroughputExact(half.G, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v > 0.5001 || v < 0.4999 {
-			b.Fatalf("throughput = %v, want 0.5", v)
-		}
-	}
-}
-
-func BenchmarkFigure2ThroughputProportionality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, experiments.Figure2TP())
-	}
-}
-
-func BenchmarkFigure3XpanderStructure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure3Xpander())
-	}
-}
-
-func BenchmarkFigure4ToyExample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure4Toy())
-	}
-}
-
-func BenchmarkFigure5aSlimFly(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure5a())
-	}
-}
-
-func BenchmarkFigure5bLonghop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure5b())
-	}
-}
-
-func BenchmarkFigure5AltEqualCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure5Alt())
-	}
-}
-
-func BenchmarkFigure6aOversubscribedJellyfish(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure6a())
-	}
-}
-
-func BenchmarkFigure6bScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure6b())
-	}
-}
-
-func BenchmarkFigure7bAdjacentRacks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure7b()...)
-	}
-}
-
-func BenchmarkFigure7cAllToAll(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure7c()...)
-	}
-}
-
-func BenchmarkFigure8FlowSizeCDFs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, experiments.Figure8FlowSizes())
-	}
-}
-
-func BenchmarkFigure9A2ASweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure9()...)
-	}
-}
-
-func BenchmarkFigure10PermuteSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure10()...)
-	}
-}
-
-func BenchmarkFigure11PermuteLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure11()...)
-	}
-}
-
-func BenchmarkFigure12ParetoHull(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure12()...)
-	}
-}
-
-func BenchmarkFigure13ProjecToR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure13()...)
-	}
-}
-
-func BenchmarkFigure14Skew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure14()...)
-	}
-}
-
-func BenchmarkFigure15LargeScaleSkew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().Figure15()...)
-	}
-}
-
-// --- Extension experiments (DESIGN.md: optional/future-work features) ----
-
-func BenchmarkExtensionRotorNet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().ExtensionRotorNet()...)
-	}
-}
-
-func BenchmarkExtensionFailureResilience(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		emit(b, cfg().ExtensionFailureResilience())
-	}
-}
-
 // --- Harness benchmarks ---------------------------------------------------
 
 // BenchmarkHarnessFigure2 measures the experiment harness's parallel
 // speedup on a registry of CPU-bound Figure-2 jobs: the same job set
-// executed with a single worker (serial, the old cmd/figures behaviour)
-// and with one worker per CPU. Each job regenerates the Fig. 2 curves many
-// times so per-job work dwarfs pool scheduling overhead, as in the real
-// packet-sim jobs.
+// executed with a single worker (serial) and with one worker per CPU.
+// Each job regenerates the Fig. 2 curves many times so per-job work dwarfs
+// pool scheduling overhead, as in the real packet-sim jobs.
 func BenchmarkHarnessFigure2(b *testing.B) {
 	mkJobs := func() []harness.Job {
 		n := 2 * runtime.GOMAXPROCS(0)

@@ -2,6 +2,9 @@
 // experiment harness: every table/figure is a registered job, executed by a
 // bounded worker pool with a content-addressed result cache, so re-runs are
 // incremental — only jobs whose configuration or code changed recompute.
+// `run` prints every successful job's result to stdout in registration
+// order: figure rows for the experiment jobs, one `ok` line per check for
+// the validation jobs.
 //
 //	runner list                  # show the registered jobs
 //	runner run [flags]           # execute (a subset of) the registry
@@ -9,6 +12,8 @@
 //
 // Typical usage:
 //
+//	go run ./cmd/runner run -only 'table1,fig*'   # the paper's tables and figures
+//	go run ./cmd/runner run -only 'validate-*'    # the cross-model validation sweep
 //	go run ./cmd/runner run -j 8 -only 'fig5*'
 //	go run ./cmd/runner run            # everything; 2nd invocation = all hits
 //	go run ./cmd/runner status
@@ -18,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -66,12 +72,11 @@ func usage() {
 
 commands:
   list     list the registered experiment jobs
-           -filter GLOB list only jobs matching the glob
-  run      execute jobs through the parallel harness
+  run      execute jobs through the parallel harness and print their results
            -j N         worker pool size (default GOMAXPROCS)
-           -only GLOB   run only jobs matching the glob (e.g. 'fig5*')
-           -filter GLOB additional glob jobs must also match (intersects
-                        with -only; e.g. -only 'whatif-*' -filter '*-link')
+           -only GLOBS  run only jobs matching any of the comma-separated
+                        globs (e.g. 'table1,fig5*'); a glob that matches
+                        no job is an error
            -cache DIR   content-addressed result cache (default %s)
            -no-cache    disable the cache (always recompute)
            -out DIR     artifacts + manifest.json (default %s)
@@ -127,16 +132,11 @@ func cmdList(args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	full := fs.Bool("full", false, "paper-scale configuration")
 	seed := fs.Int64("seed", 1, "base random seed")
-	filter := fs.String("filter", "", "glob of job names to list (e.g. 'whatif-*')")
 	fs.Parse(args)
 
 	reg := registry(config(*full, *seed), *full, nil)
-	jobs, err := reg.Match(*filter)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d/%d registered jobs (spec: %s)\n", len(jobs), reg.Len(), config(*full, *seed).Spec())
-	for _, j := range jobs {
+	fmt.Printf("%d registered jobs (spec: %s)\n", reg.Len(), config(*full, *seed).Spec())
+	for _, j := range reg.Jobs() {
 		fmt.Printf("  %-14s key=%.12s…\n", j.Name, harness.Key(j.Name, j.Spec, experiments.CodeSalt))
 	}
 	return nil
@@ -145,8 +145,7 @@ func cmdList(args []string) error {
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size")
-	only := fs.String("only", "", "glob of job names to run")
-	filter := fs.String("filter", "", "additional glob jobs must also match (intersects with -only)")
+	only := fs.String("only", "", "comma-separated globs of job names to run (union)")
 	cacheDir := fs.String("cache", defaultCacheDir, "result cache directory")
 	noCache := fs.Bool("no-cache", false, "disable the result cache")
 	outDir := fs.String("out", defaultOutDir, "output directory for artifacts and manifest")
@@ -169,25 +168,8 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *filter != "" {
-		keep, err := reg.Match(*filter)
-		if err != nil {
-			return err
-		}
-		names := make(map[string]bool, len(keep))
-		for _, j := range keep {
-			names[j.Name] = true
-		}
-		kept := jobs[:0]
-		for _, j := range jobs {
-			if names[j.Name] {
-				kept = append(kept, j)
-			}
-		}
-		jobs = kept
-	}
 	if len(jobs) == 0 {
-		return fmt.Errorf("no jobs match -only=%q -filter=%q", *only, *filter)
+		return fmt.Errorf("no jobs match -only=%q", *only)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -222,6 +204,13 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Registration order regardless of completion order; failed jobs are
+	// reported by rep.Err below.
+	for _, jr := range rep.Jobs {
+		if jr.Err == "" {
+			printResult(os.Stdout, jr.Value)
+		}
+	}
 	if *trace {
 		for _, jr := range rep.Jobs {
 			jr.Trace.Fprint(os.Stdout)
@@ -229,6 +218,21 @@ func cmdRun(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "runner: manifest=%s artifacts=%s\n", mp, *outDir)
 	return rep.Err()
+}
+
+// printResult writes one job's result: a figure's rows, or a validation
+// sweep's checks one per line.
+func printResult(w io.Writer, v any) {
+	switch r := v.(type) {
+	case *experiments.JobResult:
+		for _, f := range r.Figures {
+			f.Fprint(w)
+		}
+	case []validate.Check:
+		for _, c := range r {
+			fmt.Fprintf(w, "ok   %-40s %s\n", c.Name, c.Detail)
+		}
+	}
 }
 
 func cmdStatus(args []string) error {

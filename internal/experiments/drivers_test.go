@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,6 +52,19 @@ func checkFigures(t *testing.T, figs []*Figure, wantIDs []string, minSeries int)
 				}
 			}
 		}
+	}
+}
+
+// TestCheapDriversStructure runs the sub-second drivers at the default
+// configuration through their registry jobs, one panel each named after
+// its job, and checks the structural contract.
+func TestCheapDriversStructure(t *testing.T) {
+	for _, j := range cheapJobs(t, DefaultConfig()) {
+		v, err := j.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", j.Name, err)
+		}
+		checkFigures(t, v.(*JobResult).Figures, []string{j.Name}, 1)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation. Each driver returns Figure values whose series carry
-// the same rows the paper plots; cmd/figures prints them and bench_test.go
-// wraps them as benchmarks.
+// the same rows the paper plots; each is registered as a harness job (see
+// Config.Registry), which cmd/runner runs and prints.
 //
 // Every driver runs at a laptop-scale default configuration (same per-server
 // loads and cost ratios as the paper, smaller networks and windows) and at

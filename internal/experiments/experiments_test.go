@@ -79,6 +79,7 @@ func TestFigure4ToyReproducesPaper(t *testing.T) {
 
 func TestFigure5aCoreClaims(t *testing.T) {
 	f := DefaultConfig().Figure5a()
+	checkFigures(t, []*Figure{f}, []string{"fig5a"}, 4)
 	series := map[string][]float64{}
 	for _, s := range f.Series {
 		series[s.Label] = s.Y
@@ -259,6 +260,7 @@ func TestConfigScales(t *testing.T) {
 
 func TestFigure5AltEqualCost(t *testing.T) {
 	f := DefaultConfig().Figure5Alt()
+	checkFigures(t, []*Figure{f}, []string{"fig5alt"}, 3)
 	if len(f.Series) != 3 {
 		t.Fatalf("series = %d, want 3", len(f.Series))
 	}
@@ -275,6 +277,7 @@ func TestFigure5AltEqualCost(t *testing.T) {
 
 func TestExtensionFailureResilienceShape(t *testing.T) {
 	f := DefaultConfig().ExtensionFailureResilience()
+	checkFigures(t, []*Figure{f}, []string{"fig-failures"}, 2)
 	if len(f.Series) != 2 {
 		t.Fatalf("series = %d, want 2", len(f.Series))
 	}

@@ -84,8 +84,8 @@ func one(f func(Config) *Figure) func(Config) []*Figure {
 
 // drivers is the registration table: every table/figure of the paper's
 // evaluation (plus the extensions) as (job name, driver) pairs, in paper
-// order. cmd/figures, cmd/runner and the harness benchmarks all consume
-// this one table via Config.Registry.
+// order. cmd/runner and the query daemon consume this one table via
+// Config.Registry.
 var drivers = []struct {
 	name string
 	run  func(Config) []*Figure

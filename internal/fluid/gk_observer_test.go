@@ -99,7 +99,7 @@ func TestGKTelemetry(t *testing.T) {
 }
 
 // TestGKObserverDisabledAllocFree pins the acceptance criterion as a test
-// (the benchmark shows the same number under `make bench`): the hook
+// (BenchmarkGKObserverDisabled shows the same number): the hook
 // sequence the hot loop executes with a nil observer — interface nil check
 // at the phase boundary, integer increment per routing iteration — must
 // not allocate.

@@ -25,9 +25,9 @@ func randomRegular(n, d int, rng *rand.Rand) *Graph {
 	return g
 }
 
-// BenchmarkAPSP is the tracked kernel benchmark: all-pairs BFS on a
-// 1024-node random regular graph, serial (1 worker) vs the full pool.
-// BENCH_pr2.json records the trajectory (see README).
+// BenchmarkAPSP is the kernel benchmark for all-pairs BFS on a 1024-node
+// random regular graph, serial (1 worker) vs the full pool. Its history is
+// in BENCH_pr2–7.json.
 func BenchmarkAPSP(b *testing.B) {
 	g := randomRegular(1024, 8, rand.New(rand.NewSource(1)))
 	g.Frozen() // build outside the timed region: the kernel is the target

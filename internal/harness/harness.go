@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strings"
 )
 
 // Job is one unit of evaluation work: a figure, a table, or any other
@@ -109,20 +110,36 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Match returns, in registration order, the jobs whose name matches the
-// path.Match pattern (e.g. "figure5*", "fig1?"). An empty pattern matches
-// everything. Invalid patterns return an error.
-func (r *Registry) Match(pattern string) ([]Job, error) {
-	if pattern == "" {
+// Match returns, in registration order, the jobs whose name matches any of
+// the comma-separated path.Match patterns (e.g. "table1,fig5*"). An empty
+// list matches everything. Invalid patterns, and a pattern that matches no
+// job (usually a typo), return an error.
+func (r *Registry) Match(patterns string) ([]Job, error) {
+	if patterns == "" {
 		return r.Jobs(), nil
 	}
-	var out []Job
-	for _, j := range r.jobs {
-		ok, err := path.Match(pattern, j.Name)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bad pattern %q: %w", pattern, err)
+	keep := make([]bool, len(r.jobs))
+	for _, p := range strings.Split(patterns, ",") {
+		if p = strings.TrimSpace(p); p == "" {
+			continue
 		}
-		if ok {
+		hit := false
+		for i, j := range r.jobs {
+			ok, err := path.Match(p, j.Name)
+			if err != nil {
+				return nil, fmt.Errorf("harness: bad pattern %q: %w", p, err)
+			}
+			if ok {
+				keep[i], hit = true, true
+			}
+		}
+		if !hit {
+			return nil, fmt.Errorf("harness: no job matches %q", p)
+		}
+	}
+	var out []Job
+	for i, j := range r.jobs {
+		if keep[i] {
 			out = append(out, j)
 		}
 	}

@@ -75,6 +75,22 @@ func TestRegistryMatch(t *testing.T) {
 	if _, err := r.Match("[bad"); err == nil {
 		t.Fatalf("invalid pattern accepted")
 	}
+	// A list is the union of its patterns, in registration order, with
+	// overlaps kept once.
+	union, err := r.Match("table1, fig1*,fig5b,fig5*")
+	if err != nil {
+		t.Fatalf("match list: %v", err)
+	}
+	var names []string
+	for _, j := range union {
+		names = append(names, j.Name)
+	}
+	if got := strings.Join(names, ","); got != "fig5a,fig5b,fig10,table1" {
+		t.Fatalf("union matched %s", got)
+	}
+	if _, err := r.Match("fig5*,fig6"); err == nil || !strings.Contains(err.Error(), `"fig6"`) {
+		t.Fatalf("pattern matching nothing: err = %v, want one naming fig6", err)
+	}
 }
 
 func TestKeyDistinguishesFields(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"beyondft/internal/harness"
 )
@@ -14,50 +15,59 @@ import (
 // bump it when scenarios or tolerances change.
 const specVersion = "validate-v1"
 
-// Jobs exposes the full validation sweep to the experiment harness so
-// cmd/runner can execute and cache it alongside the figure jobs. A job
-// returns its []Check result only when every check passes; any failure is
-// an error, so a failing sweep is never cached as a good result.
+// Jobs exposes the validation sweep to the experiment harness so cmd/runner
+// can execute and cache it alongside the figure jobs: one job per check
+// group, together the same checks as All(seed, !full). A job returns its
+// []Check result only when every check passes; any failure is an error that
+// names every failed check, so a failing sweep is never cached as a good
+// result.
 func Jobs(seed int64, full bool) []harness.Job {
 	spec := fmt.Sprintf("%s|seed=%d|full=%v", specVersion, seed, full)
-	mk := func(name string, run func() []Check) harness.Job {
-		return harness.Job{
-			Name: name,
-			Spec: spec,
-			Run: func(ctx context.Context) (any, error) {
-				checks := run()
-				if bad := Failed(checks); len(bad) > 0 {
-					return nil, fmt.Errorf("%d/%d checks failed; first: %s: %s",
-						len(bad), len(checks), bad[0].Name, bad[0].Err)
-				}
-				return checks, nil
-			},
-			Decode: func(data []byte) (any, error) {
-				var checks []Check
-				err := json.Unmarshal(data, &checks)
-				return checks, err
-			},
-			Artifacts: func(result any, dir string) ([]string, error) {
-				checks, ok := result.([]Check)
-				if !ok {
-					return nil, fmt.Errorf("unexpected result type %T", result)
-				}
-				p := filepath.Join(dir, name+".csv")
-				f, err := os.Create(p)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				fmt.Fprintln(f, "check,ok,detail")
-				for _, c := range checks {
-					fmt.Fprintf(f, "%s,%v,%q\n", c.Name, c.OK(), c.Detail)
-				}
-				return []string{p}, nil
-			},
-		}
+	jobs := make([]harness.Job, len(groups))
+	for i, g := range groups {
+		jobs[i] = job(g.name, spec, func() []Check { return g.run(seed, !full) })
 	}
-	return []harness.Job{
-		mk("validate-fluid", func() []Check { return FluidChecks(seed, !full) }),
-		mk("validate-sims", func() []Check { return SimChecks(seed, !full) }),
+	return jobs
+}
+
+// job wraps one check group as a harness job.
+func job(name, spec string, run func() []Check) harness.Job {
+	return harness.Job{
+		Name: name,
+		Spec: spec,
+		Run: func(ctx context.Context) (any, error) {
+			checks := run()
+			if bad := Failed(checks); len(bad) > 0 {
+				msgs := make([]string, len(bad))
+				for i, c := range bad {
+					msgs[i] = c.Name + ": " + c.Err
+				}
+				return nil, fmt.Errorf("%d/%d checks failed: %s",
+					len(bad), len(checks), strings.Join(msgs, "; "))
+			}
+			return checks, nil
+		},
+		Decode: func(data []byte) (any, error) {
+			var checks []Check
+			err := json.Unmarshal(data, &checks)
+			return checks, err
+		},
+		Artifacts: func(result any, dir string) ([]string, error) {
+			checks, ok := result.([]Check)
+			if !ok {
+				return nil, fmt.Errorf("unexpected result type %T", result)
+			}
+			p := filepath.Join(dir, name+".csv")
+			f, err := os.Create(p)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			fmt.Fprintln(f, "check,ok,detail")
+			for _, c := range checks {
+				fmt.Fprintf(f, "%s,%v,%q\n", c.Name, c.OK(), c.Detail)
+			}
+			return []string{p}, nil
+		},
 	}
 }

@@ -57,10 +57,21 @@ func (c Check) OK() bool { return c.Err == "" }
 // harness jobs (see Jobs).
 func All(seed int64, smoke bool) []Check {
 	var out []Check
-	out = append(out, FluidChecks(seed, smoke)...)
-	out = append(out, SimChecks(seed, smoke)...)
-	out = append(out, SketchChecks(seed, smoke)...)
+	for _, g := range groups {
+		out = append(out, g.run(seed, smoke)...)
+	}
 	return out
+}
+
+// groups are the sweep's check groups in All's order; Jobs registers each
+// as one harness job under its name.
+var groups = []struct {
+	name string
+	run  func(seed int64, smoke bool) []Check
+}{
+	{"validate-fluid", FluidChecks},
+	{"validate-sims", SimChecks},
+	{"validate-sketch", SketchChecks},
 }
 
 // Failed returns the subset of checks that failed.

@@ -417,7 +417,7 @@ func TestWhatifInvalidDelta(t *testing.T) {
 	}
 }
 
-// BenchmarkWhatifSingleLinkSweep is the tracked benchmark (BENCH_pr6):
+// BenchmarkWhatifSingleLinkSweep (history in BENCH_pr6–7.json) times
 // a full single-link-failure sweep with warm starts and the ε ladder on
 // the 24-switch test fabric, reporting amortized per-scenario cost.
 func BenchmarkWhatifSingleLinkSweep(b *testing.B) {
